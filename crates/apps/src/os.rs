@@ -107,7 +107,9 @@ pub struct Os {
     /// "redesign of the components" §4 calls for after observing that
     /// merging NW+sched does not help.
     sem_home: CompartmentId,
-    sock_sems: BTreeMap<SocketId, SemId>,
+    /// Per-socket wakeup semaphore, indexed by `SocketId.0` (created on
+    /// a socket's first blocking wait).
+    sock_sems: Vec<Option<SemId>>,
     wakes: Vec<ThreadId>,
     stats: OsStats,
     /// Readiness events drained by the last [`Os::poll_net`] (reused
@@ -262,7 +264,7 @@ impl Os {
             sched_kind,
             alloc_instrumented,
             sem_home: roles.libc,
-            sock_sems: BTreeMap::new(),
+            sock_sems: Vec::new(),
             wakes: Vec::new(),
             stats: OsStats::default(),
             ready_scratch: Vec::new(),
@@ -863,11 +865,14 @@ impl Os {
     // --- blocking / wakeup (the Figure 5 path) ---------------------------------------
 
     fn ensure_sem(&mut self, sid: SocketId) -> SemId {
-        if let Some(&s) = self.sock_sems.get(&sid) {
-            return s;
+        if let Some(Some(s)) = self.sock_sems.get(sid.0) {
+            return *s;
         }
         let s = self.sems.create(0);
-        self.sock_sems.insert(sid, s);
+        if self.sock_sems.len() <= sid.0 {
+            self.sock_sems.resize(sid.0 + 1, None);
+        }
+        self.sock_sems[sid.0] = Some(s);
         s
     }
 
@@ -930,7 +935,7 @@ impl Os {
                 continue; // ACCEPT/WRITE readiness wakes no sem waiters
             }
             let sid = ev.sid;
-            let Some(&sem) = self.sock_sems.get(&sid) else {
+            let Some(&Some(sem)) = self.sock_sems.get(sid.0) else {
                 continue;
             };
             if self.sems.get(sem).waiter_count() == 0 {

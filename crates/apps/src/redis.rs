@@ -10,7 +10,10 @@
 use crate::client::{exchange, Client, ClientError, SERVER_IP};
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
-use crate::resp::{encode, encode_command, RespParser, RespValue};
+use crate::resp::{
+    encode_bulk, encode_command_into, encode_error, encode_integer, encode_simple, Command, Reply,
+    RespParser, PROTOCOL_ERROR_REPLY,
+};
 use crate::smp::make_executor;
 use flexos::build::{plan, BackendChoice, Hypervisor};
 use flexos::gate::CompartmentId;
@@ -19,11 +22,10 @@ use flexos_kernel::sched::ThreadId;
 use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
+use flexos_net::FixedHashMap;
 use flexos_trace::{SpanId, StatsSnapshot};
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
 
 /// The Redis port.
 pub const REDIS_PORT: u16 = 6379;
@@ -162,9 +164,17 @@ impl From<ClientError> for RedisRunError {
 
 /// The in-image Redis server state.
 struct RedisServer {
-    store: HashMap<Vec<u8>, (Addr, u64)>,
+    /// Key → (value address, length) in the app heap (lookup-only).
+    store: FixedHashMap<Vec<u8>, (Addr, u64)>,
     parser: RespParser,
+    /// The client sent bytes that are not RESP: once the protocol-error
+    /// reply is flushed, the connection closes.
+    closing: bool,
     out_host: Vec<u8>,
+    /// Host copy scratch for recv and GET values.
+    host_buf: Vec<u8>,
+    /// Flush scratch: the spans tagging one batched send's descriptors.
+    sqe_spans: Vec<SpanId>,
     c_app: CompartmentId,
     rx_buf: Addr,
     tx_buf: Addr,
@@ -186,69 +196,69 @@ struct RedisServer {
 }
 
 impl RedisServer {
-    fn execute(&mut self, os: &mut Os, args: &[Vec<u8>]) -> RespValue {
+    /// Executes one command, appending its reply to `out_host`.
+    fn execute(&mut self, os: &mut Os, cmd: Command<'_>) {
         // Per-request application work (command dispatch, hashing).
         let work = os.img.machine.costs().app_request;
         os.app_compute(work);
         self.ops += 1;
-        let cmd = args
-            .first()
-            .map(|c| c.to_ascii_uppercase())
-            .unwrap_or_default();
-        match (cmd.as_slice(), args.len()) {
-            (b"PING", 1) => RespValue::Simple("PONG".into()),
-            (b"SET", 3) => {
-                let value = &args[2];
-                match os.malloc_in(self.c_app, value.len().max(1) as u64) {
-                    Ok(addr) => {
-                        if let Err(f) = os.img.write(addr, value) {
-                            return RespValue::Error(format!("ERR fault: {f}"));
-                        }
-                        if let Some((old, _)) = self
-                            .store
-                            .insert(args[1].clone(), (addr, value.len() as u64))
-                        {
-                            let _ = os.free_in(self.c_app, old);
-                        }
-                        RespValue::Simple("OK".into())
-                    }
-                    Err(f) => RespValue::Error(format!("ERR oom: {f}")),
-                }
+        let out = &mut self.out_host;
+        let key = cmd.arg(1).unwrap_or_default();
+        if cmd.is(b"PING", 1) {
+            encode_simple("PONG", out);
+        } else if cmd.is(b"SET", 3) {
+            let value = cmd.arg(2).unwrap_or_default();
+            let addr = match os.malloc_in(self.c_app, value.len().max(1) as u64) {
+                Ok(addr) => addr,
+                Err(f) => return encode_error(&format!("ERR oom: {f}"), out),
+            };
+            if let Err(f) = os.img.write(addr, value) {
+                return encode_error(&format!("ERR fault: {f}"), out);
             }
-            (b"GET", 2) => match self.store.get(&args[1]).copied() {
-                Some((addr, len)) => {
-                    // Redis builds the reply in a freshly allocated
-                    // object (sds string) — so GETs hit the allocator
-                    // too, instrumented or not.
-                    let reply = match os.malloc_in(self.c_app, len.max(1)) {
-                        Ok(r) => r,
-                        Err(f) => return RespValue::Error(format!("ERR oom: {f}")),
-                    };
-                    let mut value = vec![0u8; len as usize];
-                    let read = os
-                        .img
-                        .read(addr, &mut value)
-                        .and_then(|()| os.img.copy(reply, addr, len));
-                    let _ = os.free_in(self.c_app, reply);
-                    if let Err(f) = read {
-                        return RespValue::Error(format!("ERR fault: {f}"));
-                    }
-                    RespValue::Bulk(Some(value))
-                }
-                None => RespValue::Bulk(None),
-            },
-            (b"DEL", 2) => match self.store.remove(&args[1]) {
-                Some((addr, _)) => {
-                    let _ = os.free_in(self.c_app, addr);
-                    RespValue::Integer(1)
-                }
-                None => RespValue::Integer(0),
-            },
-            (b"EXISTS", 2) => RespValue::Integer(i64::from(self.store.contains_key(&args[1]))),
-            _ => RespValue::Error(format!(
-                "ERR unknown command '{}'",
-                String::from_utf8_lossy(&cmd)
-            )),
+            let entry = (addr, value.len() as u64);
+            let old = match self.store.get_mut(key) {
+                Some(slot) => Some(std::mem::replace(slot, entry)),
+                None => self.store.insert(key.to_vec(), entry),
+            };
+            if let Some((old, _)) = old {
+                let _ = os.free_in(self.c_app, old);
+            }
+            encode_simple("OK", out);
+        } else if cmd.is(b"GET", 2) {
+            let Some(&(addr, len)) = self.store.get(key) else {
+                return encode_bulk(None, out);
+            };
+            // Redis builds the reply in a freshly allocated object (sds
+            // string) — so GETs hit the allocator too, instrumented or not.
+            let reply = match os.malloc_in(self.c_app, len.max(1)) {
+                Ok(r) => r,
+                Err(f) => return encode_error(&format!("ERR oom: {f}"), out),
+            };
+            let value = &mut self.host_buf;
+            value.resize(len as usize, 0);
+            let read = os
+                .img
+                .read(addr, value)
+                .and_then(|()| os.img.copy(reply, addr, len));
+            let _ = os.free_in(self.c_app, reply);
+            match read {
+                Ok(()) => encode_bulk(Some(value), out),
+                Err(f) => encode_error(&format!("ERR fault: {f}"), out),
+            }
+        } else if cmd.is(b"DEL", 2) {
+            let removed = self.store.remove(key);
+            if let Some((addr, _)) = removed {
+                let _ = os.free_in(self.c_app, addr);
+            }
+            encode_integer(i64::from(removed.is_some()), out);
+        } else if cmd.is(b"EXISTS", 2) {
+            encode_integer(i64::from(self.store.contains_key(key)), out);
+        } else {
+            let name = String::from_utf8_lossy(cmd.arg(0).unwrap_or_default());
+            encode_error(
+                &format!("ERR unknown command '{}'", name.to_ascii_uppercase()),
+                out,
+            );
         }
     }
 
@@ -276,16 +286,13 @@ impl RedisServer {
             // request: the reply bytes a send ships belong to the oldest
             // requests still awaiting their last byte, so the causal
             // trace links each SQE to the command it answers.
-            let sqe_spans: Vec<SpanId> = self
-                .pending_spans
-                .iter()
-                .take(max)
-                .map(|&(span, _)| span)
-                .collect();
+            let sqe_spans = &mut self.sqe_spans;
+            sqe_spans.clear();
+            sqe_spans.extend(self.pending_spans.iter().take(max).map(|&(span, _)| span));
             let out_host = &mut self.out_host;
             let pending_spans = &mut self.pending_spans;
             let sent_total = &mut self.sent_total;
-            let results = os.send_batch_spanned(sid, tx_buf, n, max, &sqe_spans, |m, rt, r| {
+            let results = os.send_batch_spanned(sid, tx_buf, n, max, sqe_spans, |m, rt, r| {
                 let Ok(sent) = r else { return Ok(None) };
                 out_host.drain(..*sent as usize);
                 // A request span ends when the last byte of its reply
@@ -322,13 +329,17 @@ impl RedisServer {
                 _ => {}
             }
         }
+        if self.closing {
+            let _ = os.sock_close(sid);
+            return Ok(Step::Done);
+        }
         // Pull in new request bytes.
         match os.recv(sid, self.rx_buf, self.io_buf_len) {
             Ok(0) => return Ok(Step::Done),
             Ok(n) => {
-                let mut host = vec![0u8; n as usize];
-                os.img.read(self.rx_buf, &mut host)?;
-                self.parser.feed(&host);
+                self.host_buf.resize(n as usize, 0);
+                os.img.read(self.rx_buf, &mut self.host_buf)?;
+                self.parser.feed(&self.host_buf);
             }
             Err(NetError::WouldBlock) => {
                 if self.parser.pending() == 0 {
@@ -346,8 +357,15 @@ impl RedisServer {
             }
         }
         // Execute everything parseable. Each command opens a request
-        // span (ended later, when its reply's last byte is sent).
-        while let Some(args) = self.parser.parse_command() {
+        // span (ended later, when its reply's last byte is sent). Bytes
+        // that are not RESP get a protocol-error reply, then the close.
+        let mut parser = std::mem::take(&mut self.parser);
+        while let Some(parsed) = parser.parse_command() {
+            let Ok(cmd) = parsed else {
+                self.out_host.extend_from_slice(PROTOCOL_ERROR_REPLY);
+                self.closing = true;
+                break;
+            };
             let t0 = os.img.machine.clock().cycles();
             let span = os.img.machine.span_trace_mut().begin_request(
                 "redis",
@@ -355,15 +373,15 @@ impl RedisServer {
                 self.app_vcpu,
                 t0,
             );
-            let reply = if args.is_empty() {
-                RespValue::Error("ERR protocol error".into())
+            if cmd.is_empty() {
+                encode_error("ERR protocol error", &mut self.out_host);
             } else {
-                self.execute(os, &args)
-            };
-            self.out_host.extend_from_slice(&encode(&reply));
+                self.execute(os, cmd);
+            }
             self.staged_total = self.sent_total + self.out_host.len() as u64;
             self.pending_spans.push_back((span, self.staged_total));
         }
+        self.parser = parser;
         Ok(Step::Yield)
     }
 }
@@ -384,6 +402,8 @@ pub fn redis_image(params: &RedisParams) -> flexos::build::ImageConfig {
 /// The external Redis load generator (pipelined).
 struct LoadGen {
     replies: RespParser,
+    /// Request bytes of the batch being sent (reused).
+    req: Vec<u8>,
     completed: u64,
     inflight: u64,
     payload: Vec<u8>,
@@ -397,6 +417,7 @@ impl LoadGen {
     fn new(payload: usize, mix: Mix, pipeline: usize) -> Self {
         Self {
             replies: RespParser::new(),
+            req: Vec::new(),
             completed: 0,
             inflight: 0,
             payload: vec![b'v'; payload.max(1)],
@@ -409,25 +430,32 @@ impl LoadGen {
         }
     }
 
-    fn batch(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Encodes requests until the pipeline is full; returns their bytes.
+    fn batch(&mut self) -> &[u8] {
+        self.req.clear();
         while self.inflight < self.pipeline as u64 {
             let key = &self.keys[self.next % self.keys.len()];
             self.next += 1;
             match self.mix {
-                Mix::Set => out.extend_from_slice(&encode_command(&[b"SET", key, &self.payload])),
-                Mix::Get => out.extend_from_slice(&encode_command(&[b"GET", key])),
+                Mix::Set => encode_command_into(&[b"SET", key, &self.payload], &mut self.req),
+                Mix::Get => encode_command_into(&[b"GET", key], &mut self.req),
             }
             self.inflight += 1;
         }
-        out
+        &self.req
     }
 
     fn consume(&mut self, bytes: &[u8]) -> Result<(), RedisRunError> {
         self.replies.feed(bytes);
-        while let Some(v) = self.replies.parse_value() {
-            if let RespValue::Error(e) = &v {
-                return Err(RedisRunError::Reply(e.clone()));
+        while let Some(reply) = self.replies.next_reply() {
+            match reply {
+                Ok(Reply::Value) => {}
+                Ok(Reply::Error(e)) => {
+                    return Err(RedisRunError::Reply(
+                        String::from_utf8_lossy(e).into_owned(),
+                    ))
+                }
+                Err(e) => return Err(RedisRunError::Reply(format!("malformed reply: {e}"))),
             }
             self.completed += 1;
             self.inflight = self.inflight.saturating_sub(1);
@@ -470,11 +498,20 @@ pub fn run_redis_traced(
     run_redis_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
 }
 
-#[allow(clippy::type_complexity)]
-fn run_redis_inner(
-    params: &RedisParams,
-    want_trace: bool,
-) -> Result<(RedisResult, StatsSnapshot, Option<String>), RedisRunError> {
+/// A booted server image with the Redis server task spawned and the
+/// external client's connection established.
+struct Session {
+    os: Os,
+    exec: Executor<Os>,
+    client: Client,
+    link: Link,
+    /// The client's socket.
+    csid: SocketId,
+}
+
+/// Boots the image for `params`, spawns the server task and completes
+/// the client's handshake.
+fn start_session(params: &RedisParams) -> Result<Session, RedisRunError> {
     let image = plan(redis_image(params)).expect("redis image plans");
     let mut os = Os::boot(image, SERVER_IP, 1).expect("redis image boots");
     if let Some(chaos) = params.machine_chaos {
@@ -496,10 +533,13 @@ fn run_redis_inner(
         .listen(REDIS_PORT)
         .map_err(|e| RedisRunError::server(format!("listen failed: {e}")))?;
 
-    let server = Rc::new(RefCell::new(RedisServer {
-        store: HashMap::new(),
+    let mut server = RedisServer {
+        store: FixedHashMap::default(),
         parser: RespParser::new(),
+        closing: false,
         out_host: Vec::new(),
+        host_buf: Vec::new(),
+        sqe_spans: Vec::new(),
         c_app,
         rx_buf,
         tx_buf,
@@ -510,8 +550,7 @@ fn run_redis_inner(
         pending_spans: VecDeque::new(),
         staged_total: 0,
         sent_total: 0,
-    }));
-    let server_task = Rc::clone(&server);
+    };
     let mut sid: Option<SocketId> = None;
     let task = move |os: &mut Os, tid| {
         if sid.is_none() {
@@ -526,9 +565,7 @@ fn run_redis_inner(
                 }
             }
         }
-        server_task
-            .borrow_mut()
-            .service(os, tid, sid.expect("accepted"))
+        server.service(os, tid, sid.expect("accepted"))
     };
     exec.spawn(c_app, Box::new(task))
         .expect("spawn redis server");
@@ -544,6 +581,27 @@ fn run_redis_inner(
         exchange(&mut link, &mut client, &mut os);
     }
     assert!(client.established(csid), "handshake did not complete");
+    Ok(Session {
+        os,
+        exec,
+        client,
+        link,
+        csid,
+    })
+}
+
+#[allow(clippy::type_complexity)]
+fn run_redis_inner(
+    params: &RedisParams,
+    want_trace: bool,
+) -> Result<(RedisResult, StatsSnapshot, Option<String>), RedisRunError> {
+    let Session {
+        mut os,
+        mut exec,
+        mut client,
+        mut link,
+        csid,
+    } = start_session(params)?;
 
     let mut load = LoadGen::new(params.payload, params.mix, params.pipeline);
     let drive = |os: &mut Os,
@@ -557,7 +615,7 @@ fn run_redis_inner(
         while load.completed < target {
             let batch = load.batch();
             if !batch.is_empty() {
-                client.send_bytes(csid, &batch)?;
+                client.send_bytes(csid, batch)?;
             }
             client.poll()?;
             exchange(link, client, os);
@@ -630,6 +688,7 @@ fn run_redis_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resp::encode_command;
     use flexos_machine::Schedule;
 
     fn quick(params: RedisParams) -> RedisResult {
@@ -658,6 +717,53 @@ mod tests {
             "expected a server-side gate failure, got: {err}"
         );
         assert!(err.to_string().contains("timed out"), "{err}");
+    }
+
+    /// Sends `bytes` on a fresh session and pumps until the server has
+    /// answered and closed; returns the reply bytes.
+    fn answer_to(bytes: &[u8]) -> Vec<u8> {
+        let Session {
+            mut os,
+            mut exec,
+            mut client,
+            mut link,
+            csid,
+        } = start_session(&RedisParams::default()).expect("session starts");
+        client.send_bytes(csid, bytes).expect("client sends");
+        let mut reply = Vec::new();
+        for _ in 0..64 {
+            client.poll().unwrap();
+            exchange(&mut link, &mut client, &mut os);
+            os.poll_net().unwrap();
+            exec.run(&mut os, 16).unwrap();
+            os.poll_net().unwrap();
+            exchange(&mut link, &mut client, &mut os);
+            client.poll().unwrap();
+            reply.extend(client.recv_bytes(csid, 4096).unwrap());
+            let (m, vcpu, buf) = (&mut client.m, client.vcpu, client.buf);
+            if client.net.tcp_recv(m, vcpu, csid, buf, 64) == Ok(0) {
+                return reply;
+            }
+        }
+        panic!("server never closed; replies so far {reply:?}");
+    }
+
+    #[test]
+    fn malformed_requests_get_a_protocol_error_and_a_close() {
+        for garbage in [
+            b"*9223372036854775807\r\n".as_slice(),
+            b"*1\r\n$9223372036854775806\r\nxx",
+            b"?what\r\n",
+            &b"*1\r\n".repeat(64),
+        ] {
+            assert_eq!(answer_to(garbage), PROTOCOL_ERROR_REPLY, "{garbage:?}");
+        }
+        // Well-formed commands before the garbage are still answered.
+        let mut bytes = encode_command(&[b"PING"]);
+        bytes.extend_from_slice(b"~junk\r\n");
+        let mut want = b"+PONG\r\n".to_vec();
+        want.extend_from_slice(PROTOCOL_ERROR_REPLY);
+        assert_eq!(answer_to(&bytes), want);
     }
 
     #[test]

@@ -43,7 +43,10 @@ use crate::client::SERVER_IP;
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
 use crate::redis::Mix;
-use crate::resp::{encode, encode_command, RespParser, RespValue};
+use crate::resp::{
+    encode_bulk, encode_command_into, encode_error, encode_integer, encode_simple, Command,
+    CommandBatch, Reply, RespParser, PROTOCOL_ERROR_REPLY,
+};
 use flexos::build::{plan, BackendChoice, ImageConfig};
 use flexos::gate::{CompartmentId, Sqe};
 use flexos_backends::BootOptions;
@@ -55,10 +58,11 @@ use flexos_net::wire::{
     build_tcp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
     IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
 };
-use flexos_net::Interest;
+use flexos_net::{FixedHashMap, Interest};
 use flexos_trace::{SpanId, SpanKind, StatsSnapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 /// The proxy's listening port.
 pub const SERVE_PORT: u16 = 7379;
@@ -203,6 +207,19 @@ impl fmt::Display for ServeRunError {
 
 impl std::error::Error for ServeRunError {}
 
+/// `key:NNNN` for `k < 10_000`: the load generator's key names,
+/// formatted on the stack.
+fn key_name(k: usize) -> [u8; 8] {
+    debug_assert!(k < 10_000, "key index {k} needs more than four digits");
+    let mut key = *b"key:0000";
+    let mut n = k;
+    for d in key[4..].iter_mut().rev() {
+        *d = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    key
+}
+
 /// FNV-1a over a key — the proxy's shard hash.
 fn fnv1a(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -239,12 +256,15 @@ pub fn serve_image(params: &ServeParams) -> ImageConfig {
 
 // --- the proxy world -------------------------------------------------------------
 
-/// One routed command awaiting its shard's reply.
+/// One routed command awaiting its shard's reply (its command sits at
+/// the same index of [`ServeWorld::cmds`]).
 struct ShardOp {
     span: SpanId,
     shard: usize,
-    args: Vec<Vec<u8>>,
 }
+
+/// A shard's key-value store (lookup-only, so a fixed-hash index).
+type ShardStore = FixedHashMap<Vec<u8>, Vec<u8>>;
 
 /// The context every [`ConnTask`] steps with: the OS image plus the
 /// shard stores and the scratch the fan-out path reuses.
@@ -252,7 +272,7 @@ struct ServeWorld {
     os: Os,
     /// Per-shard key-value stores (host-side; the simulated cost of an
     /// access is charged inside the shard's compartment).
-    shards: Vec<HashMap<Vec<u8>, Vec<u8>>>,
+    shards: Vec<ShardStore>,
     /// Commands executed per shard.
     shard_ops: Vec<u64>,
     shard_comps: Vec<CompartmentId>,
@@ -264,8 +284,14 @@ struct ServeWorld {
     app_vcpu: u16,
     /// Fan-out scratch: parsed ops of the burst being served.
     ops_scratch: Vec<ShardOp>,
-    /// Fan-out scratch: replies indexed by op, reassembled in order.
-    replies: Vec<Option<RespValue>>,
+    /// Fan-out scratch: the burst's commands, indexed like `ops_scratch`.
+    cmds: CommandBatch,
+    /// Fan-out scratch: encoded replies in shard-execution order...
+    reply_bytes: Vec<u8>,
+    /// ...and each op's reply within them, reassembled in request order.
+    reply_at: Vec<Option<Range<usize>>>,
+    /// Flush scratch: the spans tagging one batched send's descriptors.
+    sqe_spans: Vec<SpanId>,
     /// Host copy scratch for recv.
     host_buf: Vec<u8>,
     /// Fatal task errors (drained by the driver after each round).
@@ -274,40 +300,49 @@ struct ServeWorld {
 
 /// Executes one command inside shard compartment code: the simulated
 /// cost (dispatch + value copy) is charged on `m` while the host-side
-/// store does the bookkeeping.
+/// store does the bookkeeping. The reply is appended to `out`; returns
+/// whether it is a success (not an error reply).
 fn exec_shard_cmd(
     m: &mut Machine,
-    store: &mut HashMap<Vec<u8>, Vec<u8>>,
-    args: &[Vec<u8>],
-) -> RespValue {
+    store: &mut ShardStore,
+    cmd: Command<'_>,
+    out: &mut Vec<u8>,
+) -> bool {
     let dispatch = m.costs().app_request;
     m.charge(dispatch);
-    let cmd = args
-        .first()
-        .map(|c| c.to_ascii_uppercase())
-        .unwrap_or_default();
-    match (cmd.as_slice(), args.len()) {
-        (b"PING", 1) => RespValue::Simple("PONG".into()),
-        (b"SET", 3) => {
-            let cost = m.costs().copy_cost(args[2].len() as u64);
-            m.charge(cost);
-            store.insert(args[1].clone(), args[2].clone());
-            RespValue::Simple("OK".into())
-        }
-        (b"GET", 2) => match store.get(&args[1]) {
+    let key = cmd.arg(1).unwrap_or_default();
+    if cmd.is(b"PING", 1) {
+        encode_simple("PONG", out);
+    } else if cmd.is(b"SET", 3) {
+        let value = cmd.arg(2).unwrap_or_default();
+        let cost = m.costs().copy_cost(value.len() as u64);
+        m.charge(cost);
+        match store.get_mut(key) {
             Some(v) => {
-                let cost = m.costs().copy_cost(v.len() as u64);
-                m.charge(cost);
-                RespValue::Bulk(Some(v.clone()))
+                v.clear();
+                v.extend_from_slice(value);
             }
-            None => RespValue::Bulk(None),
-        },
-        (b"DEL", 2) => RespValue::Integer(i64::from(store.remove(&args[1]).is_some())),
-        _ => RespValue::Error(format!(
-            "ERR unknown command '{}'",
-            String::from_utf8_lossy(&cmd)
-        )),
+            None => {
+                store.insert(key.to_vec(), value.to_vec());
+            }
+        }
+        encode_simple("OK", out);
+    } else if cmd.is(b"GET", 2) {
+        let v = store.get(key);
+        if let Some(v) = v {
+            let cost = m.costs().copy_cost(v.len() as u64);
+            m.charge(cost);
+        }
+        encode_bulk(v.map(Vec::as_slice), out);
+    } else if cmd.is(b"DEL", 2) {
+        encode_integer(i64::from(store.remove(key).is_some()), out);
+    } else {
+        let name = String::from_utf8_lossy(cmd.arg(0).unwrap_or_default());
+        let msg = format!("ERR unknown command '{}'", name.to_ascii_uppercase());
+        encode_error(&msg, out);
+        return false;
     }
+    true
 }
 
 /// What a flush attempt left behind.
@@ -326,6 +361,9 @@ enum FlushState {
 struct ConnTask {
     sid: SocketId,
     parser: RespParser,
+    /// The peer sent bytes that are not RESP: once the protocol-error
+    /// reply is flushed, the connection closes.
+    closing: bool,
     out_host: Vec<u8>,
     /// Open request spans with the staged-output offset at which each
     /// reply will have fully left the server.
@@ -342,6 +380,7 @@ impl ConnTask {
         Self {
             sid,
             parser: RespParser::new(),
+            closing: false,
             out_host: Vec::new(),
             pending_spans: VecDeque::new(),
             staged_total: 0,
@@ -362,17 +401,14 @@ impl ConnTask {
             let max = (self.out_host.len() as u64).div_ceil(w.io_buf_len).max(1) as usize;
             let (tx_buf, io_buf_len) = (w.tx_buf, w.io_buf_len);
             let app_vcpu = w.app_vcpu;
-            let sqe_spans: Vec<SpanId> = self
-                .pending_spans
-                .iter()
-                .take(max)
-                .map(|&(span, _)| span)
-                .collect();
+            let sqe_spans = &mut w.sqe_spans;
+            sqe_spans.clear();
+            sqe_spans.extend(self.pending_spans.iter().take(max).map(|&(span, _)| span));
             let out_host = &mut self.out_host;
             let pending_spans = &mut self.pending_spans;
             let sent_total = &mut self.sent_total;
             let results =
-                w.os.send_batch_spanned(self.sid, tx_buf, n, max, &sqe_spans, |m, rt, r| {
+                w.os.send_batch_spanned(self.sid, tx_buf, n, max, sqe_spans, |m, rt, r| {
                     let Ok(sent) = r else { return Ok(None) };
                     out_host.drain(..*sent as usize);
                     *sent_total += sent;
@@ -404,10 +440,17 @@ impl ConnTask {
 
     /// Parses everything buffered, routes each command to its shard over
     /// the async gate rings, and reassembles replies in request order.
+    /// Bytes that are not RESP end the burst with a protocol-error reply
+    /// and mark the connection for closing.
     fn fan_out(&mut self, w: &mut ServeWorld) -> Result<(), String> {
         let nshards = w.shards.len();
         w.ops_scratch.clear();
-        while let Some(args) = self.parser.parse_command() {
+        w.cmds.clear();
+        while let Some(parsed) = self.parser.parse_command() {
+            let Ok(cmd) = parsed else {
+                self.closing = true;
+                break;
+            };
             // Proxy-side routing work (dispatch + key hash).
             let work = w.os.img.machine.costs().app_request;
             let t0 = w.os.img.machine.clock().cycles();
@@ -417,18 +460,17 @@ impl ConnTask {
                     .span_trace_mut()
                     .begin_request("serve", w.backend, w.app_vcpu, t0);
             w.os.app_compute(work);
-            let shard = args
-                .get(1)
+            let shard = cmd
+                .arg(1)
                 .map(|k| (fnv1a(k) % nshards as u64) as usize)
                 .unwrap_or(0);
-            w.ops_scratch.push(ShardOp { span, shard, args });
-        }
-        if w.ops_scratch.is_empty() {
-            return Ok(());
+            w.cmds.push(cmd);
+            w.ops_scratch.push(ShardOp { span, shard });
         }
         let nops = w.ops_scratch.len();
-        w.replies.clear();
-        w.replies.resize(nops, None);
+        w.reply_bytes.clear();
+        w.reply_at.clear();
+        w.reply_at.resize(nops, None);
         for k in 0..nshards {
             let count = w.ops_scratch.iter().filter(|o| o.shard == k).count();
             if count == 0 {
@@ -451,8 +493,9 @@ impl ConnTask {
                 shards,
                 shard_ops,
                 shard_vcpus,
-                ops_scratch,
-                replies,
+                cmds,
+                reply_bytes,
+                reply_at,
                 app_vcpu,
                 ..
             } = w;
@@ -463,7 +506,9 @@ impl ConnTask {
                 .call_lib_async(SHARD_NAMES[k], |m, _rt, sqe| {
                     let idx = sqe.user_data as usize;
                     let t0 = m.clock().cycles();
-                    let reply = exec_shard_cmd(m, store, &ops_scratch[idx].args);
+                    let at = reply_bytes.len();
+                    let ok = exec_shard_cmd(m, store, cmds.get(idx), reply_bytes);
+                    reply_at[idx] = Some(at..reply_bytes.len());
                     *sops += 1;
                     let t1 = m.clock().cycles();
                     // The hop probe: attributed to the request span the
@@ -477,9 +522,7 @@ impl ConnTask {
                         t0,
                         t1,
                     );
-                    let code = i64::from(!matches!(reply, RespValue::Error(_)));
-                    replies[idx] = Some(reply);
-                    Ok(code)
+                    Ok(i64::from(ok))
                 })
                 .map_err(|f| f.to_string())?;
             // Drain the completions; the replies already live host-side.
@@ -488,13 +531,16 @@ impl ConnTask {
         // Reassemble in request order, ending each span only when its
         // reply's last byte leaves the server (in `flush`).
         for idx in 0..nops {
-            let reply = w.replies[idx]
-                .take()
-                .unwrap_or_else(|| RespValue::Error("ERR shard reply lost".into()));
-            self.out_host.extend_from_slice(&encode(&reply));
+            match w.reply_at[idx].clone() {
+                Some(r) => self.out_host.extend_from_slice(&w.reply_bytes[r]),
+                None => encode_error("ERR shard reply lost", &mut self.out_host),
+            }
             self.staged_total = self.sent_total + self.out_host.len() as u64;
             self.pending_spans
                 .push_back((w.ops_scratch[idx].span, self.staged_total));
+        }
+        if self.closing {
+            self.out_host.extend_from_slice(PROTOCOL_ERROR_REPLY);
         }
         Ok(())
     }
@@ -514,6 +560,10 @@ impl ConnTask {
                     return Ok(CoPoll::Ready);
                 }
                 FlushState::Clean => {}
+            }
+            if self.closing {
+                let _ = w.os.sock_close(self.sid);
+                return Ok(CoPoll::Ready);
             }
             if self.write_armed {
                 w.os.net.events_mut().set_interest(self.sid, Interest::READ);
@@ -582,10 +632,11 @@ struct SimConn {
     need_ack: bool,
 }
 
-/// The frame-level simulation of up to 10⁵ clients.
+/// The frame-level simulation of up to 10⁵ clients. Client `i` is
+/// `(CLIENT_IP_BASE + i / PORTS_PER_IP, CLIENT_PORT_BASE + i % PORTS_PER_IP)`,
+/// so a frame's destination maps back to its client arithmetically.
 struct SimClients {
     conns: Vec<SimConn>,
-    by_addr: HashMap<(u32, u16), usize>,
     server_mac: Mac,
     client_mac: Mac,
     ident: u16,
@@ -603,6 +654,8 @@ struct SimClients {
     /// Connections whose burst completed with arrivals still queued.
     pending_starts: Vec<usize>,
     reply_errors: Vec<String>,
+    /// Request bytes of the burst being started (reused).
+    req_scratch: Vec<u8>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -645,11 +698,9 @@ fn client_frame(
 impl SimClients {
     fn new(conns: usize, payload: usize, mix: Mix, pipeline: usize, nic_id: u8) -> Self {
         let mut list = Vec::with_capacity(conns);
-        let mut by_addr = HashMap::with_capacity(conns);
         for i in 0..conns {
             let ip = CLIENT_IP_BASE + (i / PORTS_PER_IP) as u32;
             let port = CLIENT_PORT_BASE + (i % PORTS_PER_IP) as u16;
-            by_addr.insert((ip, port), i);
             list.push(SimConn {
                 ip,
                 port,
@@ -665,7 +716,6 @@ impl SimClients {
         }
         Self {
             conns: list,
-            by_addr,
             server_mac: Mac::of_nic(nic_id),
             client_mac: Mac::of_nic(200),
             ident: 0,
@@ -680,7 +730,20 @@ impl SimClients {
             ack_pending: Vec::new(),
             pending_starts: Vec::new(),
             reply_errors: Vec::new(),
+            req_scratch: Vec::new(),
         }
+    }
+
+    /// The client owning `(ip, port)`: the inverse of the address
+    /// assignment in [`SimClients::new`], `None` outside the fleet.
+    fn index_of(&self, ip: u32, port: u16) -> Option<usize> {
+        let hi = ip.checked_sub(CLIENT_IP_BASE)? as usize;
+        let lo = port.checked_sub(CLIENT_PORT_BASE)? as usize;
+        if lo >= PORTS_PER_IP {
+            return None;
+        }
+        let i = hi.checked_mul(PORTS_PER_IP)?.checked_add(lo)?;
+        (i < self.conns.len()).then_some(i)
     }
 
     /// Deterministic per-connection initial sequence number.
@@ -732,7 +795,7 @@ impl SimClients {
             return;
         };
         let payload = &l4[off..];
-        let Some(&i) = self.by_addr.get(&(ip.dst, hdr.dst_port)) else {
+        let Some(i) = self.index_of(ip.dst, hdr.dst_port) else {
             return;
         };
         if hdr.flags.rst {
@@ -762,9 +825,18 @@ impl SimClients {
         c.rcv_nxt = c.rcv_nxt.wrapping_add(payload.len() as u32);
         c.parser.feed(payload);
         let mut finished_burst = false;
-        while let Some(v) = c.parser.parse_value() {
-            if let RespValue::Error(e) = &v {
-                self.reply_errors.push(e.clone());
+        while let Some(reply) = c.parser.next_reply() {
+            match reply {
+                Ok(Reply::Value) => {}
+                Ok(Reply::Error(e)) => {
+                    self.reply_errors
+                        .push(String::from_utf8_lossy(e).into_owned());
+                }
+                Err(e) => {
+                    self.reply_errors
+                        .push(format!("connection {i}: malformed reply: {e}"));
+                    break;
+                }
             }
             self.completed_reqs += 1;
             if c.expected > 0 {
@@ -789,19 +861,18 @@ impl SimClients {
     fn start_burst(&mut self, i: usize, t_arrival: u64, out: &mut Vec<Vec<u8>>) {
         let b = self.bursts_started;
         self.bursts_started += 1;
-        let mut req = Vec::new();
+        let req = &mut self.req_scratch;
+        req.clear();
         for j in 0..self.pipeline {
             let k = (b as usize)
                 .wrapping_mul(7)
                 .wrapping_add(j.wrapping_mul(3))
                 .wrapping_add(i)
                 % KEYSPACE;
-            let key = format!("key:{k:04}").into_bytes();
+            let key = key_name(k);
             match self.mix {
-                Mix::Set => {
-                    req.extend_from_slice(&encode_command(&[b"SET", &key, &self.payload]));
-                }
-                Mix::Get => req.extend_from_slice(&encode_command(&[b"GET", &key])),
+                Mix::Set => encode_command_into(&[b"SET", &key, &self.payload], req),
+                Mix::Get => encode_command_into(&[b"GET", &key], req),
             }
         }
         let c = &mut self.conns[i];
@@ -957,11 +1028,19 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-#[allow(clippy::type_complexity)]
-fn run_serve_inner(
-    params: &ServeParams,
-    want_trace: bool,
-) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
+/// A booted proxy with every client connection established and its
+/// task spawned: the state the measured phase starts from.
+struct Serving {
+    world: ServeWorld,
+    exec: CoExecutor<ServeWorld>,
+    clients: SimClients,
+    /// Connection task of each server socket, indexed by `SocketId.0`.
+    task_of: Vec<Option<CoTaskId>>,
+}
+
+/// Boots the proxy image for `params`, preloads the shard stores and
+/// establishes every client connection (not measured).
+fn establish(params: &ServeParams) -> Result<Serving, ServeRunError> {
     let shards = params.shards.clamp(1, MAX_SHARDS);
     let conns = params.conns.max(1);
     let nic_id = 1u8;
@@ -1009,7 +1088,7 @@ fn run_serve_inner(
 
     let mut world = ServeWorld {
         os,
-        shards: vec![HashMap::new(); shards],
+        shards: vec![ShardStore::default(); shards],
         shard_ops: vec![0; shards],
         shard_comps,
         shard_vcpus,
@@ -1019,7 +1098,10 @@ fn run_serve_inner(
         backend,
         app_vcpu,
         ops_scratch: Vec::new(),
-        replies: Vec::new(),
+        cmds: CommandBatch::default(),
+        reply_bytes: Vec::new(),
+        reply_at: Vec::new(),
+        sqe_spans: Vec::new(),
         host_buf: Vec::new(),
         errors: Vec::new(),
     };
@@ -1029,9 +1111,9 @@ fn run_serve_inner(
     if params.mix == Mix::Get {
         let value = vec![b'v'; params.payload.max(1)];
         for k in 0..KEYSPACE {
-            let key = format!("key:{k:04}").into_bytes();
+            let key = key_name(k);
             let shard = (fnv1a(&key) % shards as u64) as usize;
-            world.shards[shard].insert(key, value.clone());
+            world.shards[shard].insert(key.to_vec(), value.clone());
         }
     }
 
@@ -1083,6 +1165,27 @@ fn run_serve_inner(
     if !clients.reply_errors.is_empty() {
         return Err(ServeRunError::Server(clients.reply_errors.remove(0)));
     }
+    Ok(Serving {
+        world,
+        exec,
+        clients,
+        task_of,
+    })
+}
+
+#[allow(clippy::type_complexity)]
+fn run_serve_inner(
+    params: &ServeParams,
+    want_trace: bool,
+) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
+    let conns = params.conns.max(1);
+    let Serving {
+        mut world,
+        mut exec,
+        mut clients,
+        task_of,
+    } = establish(params)?;
+    let mut frames: Vec<Vec<u8>> = Vec::new();
 
     // Measured phase: open-loop Poisson arrivals over simulated cycles.
     let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
@@ -1241,6 +1344,7 @@ pub fn run_serve_free(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resp::encode_command;
 
     fn quick(params: ServeParams) -> ServeResult {
         run_serve(&params).expect("serve run succeeds")
@@ -1390,6 +1494,61 @@ mod tests {
             migrated.cycles,
             stayed.cycles
         );
+    }
+
+    #[test]
+    fn malformed_requests_get_a_protocol_error_and_a_close() {
+        let Serving {
+            mut world,
+            mut exec,
+            mut clients,
+            task_of,
+        } = establish(&ServeParams {
+            conns: 4,
+            ..ServeParams::default()
+        })
+        .expect("connections establish");
+        let tasks = exec.task_count();
+        // Client 0 sends a GET followed by a line no RESP tag starts.
+        let mut req = encode_command(&[b"GET", b"key:0001"]);
+        req.extend_from_slice(b"?what\r\n");
+        let c = &clients.conns[0];
+        let (ip, port) = (c.ip, c.port);
+        let frame = client_frame(
+            clients.server_mac,
+            clients.client_mac,
+            &mut clients.ident,
+            ip,
+            port,
+            c.rcv_nxt,
+            TcpFlags::ACK,
+            c.snd_nxt,
+            &req,
+        );
+        clients.conns[0].expected = 2;
+        world.os.net.nic.push_rx(frame);
+        let mut fin = false;
+        for _ in 0..8 {
+            world.os.poll_net().unwrap();
+            for ev in world.os.ready_events() {
+                if let Some(Some(tid)) = task_of.get(ev.sid.0) {
+                    exec.wake(*tid);
+                }
+            }
+            exec.run_until_idle(&mut world, 1_000_000);
+            world.os.poll_net().unwrap();
+            while let Some(f) = world.os.net.nic.pop_tx() {
+                let iph = Ipv4Header::parse(&f[ETH_LEN..]).unwrap();
+                let l4 = &f[ETH_LEN + IPV4_LEN..ETH_LEN + iph.total_len as usize];
+                let (hdr, _) = TcpHeader::parse(&iph, l4).unwrap();
+                fin |= hdr.flags.fin && hdr.dst_port == port && iph.dst == ip;
+                clients.on_frame(0, &f);
+            }
+        }
+        assert_eq!(clients.completed_reqs, 2, "the GET and the error reply");
+        assert_eq!(clients.reply_errors, ["ERR protocol error"]);
+        assert!(fin, "the server never closed the connection");
+        assert_eq!(exec.task_count(), tasks - 1, "the connection task ended");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! is charged (and protection-checked) there.
 
 use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
+use crate::hash::FixedHashMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
 use crate::tcp::{SegmentOut, TcpConfig, TcpConn};
@@ -167,9 +168,11 @@ impl BufPool {
 pub struct NetStack {
     /// Our IPv4 address.
     pub ip: u32,
+    /// Our Ethernet address (the NIC's).
     mac: Mac,
     /// The owned NIC.
     pub nic: Nic,
+    /// Socket slots indexed by [`SocketId`]; `None` marks a free slot.
     socks: Vec<Option<Sock>>,
     /// Freed socket slots, reused lowest-first (matching the old
     /// first-`None` scan) so slot assignment stays deterministic.
@@ -188,13 +191,22 @@ pub struct NetStack {
     /// Retransmit count carried over from reaped connections, so
     /// [`NetStack::retransmits`] is stable across churn.
     closed_retransmits: u64,
+    /// TCP listeners by local port.
     listeners: BTreeMap<u16, SocketId>,
-    conns: BTreeMap<(u16, u32, u16), SocketId>,
+    /// Stream demux: `(local port, remote IP, remote port)` → socket.
+    /// Lookup-only (never iterated), so a hash index is safe here.
+    conns: FixedHashMap<(u16, u32, u16), SocketId>,
+    /// Bound UDP sockets by local port.
     udp_ports: BTreeMap<u16, SocketId>,
+    /// Receive-ring memory in the stack compartment.
     pool: BufPool,
+    /// Configuration every new TCP connection starts from.
     tcp_cfg: TcpConfig,
+    /// Next ephemeral port to try for an active open.
     next_ephemeral: u16,
+    /// Initial-sequence-number counter (deterministic, per stack).
     iss: u32,
+    /// IPv4 identification of the next emitted datagram.
     ip_ident: u16,
     /// Extra per-packet cycles (the Xen hypervisor tax; 0 on KVM).
     pub extra_per_packet: u64,
@@ -232,7 +244,7 @@ impl NetStack {
             sock_ring_bytes: SOCK_RX_RING,
             closed_retransmits: 0,
             listeners: BTreeMap::new(),
-            conns: BTreeMap::new(),
+            conns: FixedHashMap::default(),
             udp_ports: BTreeMap::new(),
             pool: BufPool {
                 base: pool_base,
